@@ -122,7 +122,9 @@ if [[ "$fast" -eq 0 ]]; then
     # trace (deployment journal matches the pre-refactor pin) and the
     # fixpoint loop must run resolve-free — `intern.hot.resolves` counts
     # any id -> Term materialization outside an `intern::boundary` scope,
-    # and the bin exits non-zero if either gate fails. The greps re-check
+    # and the bin exits non-zero if either gate fails. The deployment's
+    # probe step declares no boundary (only its procedural-builtin call
+    # does), so `deploy_hot` also catches a resolve there. The greps re-check
     # the emitted JSON so a silent bin regression can't pass.
     echo "== intern smoke (--quick, journal pinned + resolve gate) =="
     intern_out=$(mktemp /tmp/bench_intern.XXXXXX.json)
@@ -135,6 +137,22 @@ if [[ "$fast" -eq 0 ]]; then
     grep -q '"deploy_hot": 0' "$intern_out" || {
         echo "intern smoke: hot-path resolves in the deployment loop"; exit 1; }
     rm -f "$intern_out"
+
+    # Benchmark correctness smoke: a one-second run of each e2ebench
+    # workload must end with `"correct": true` — sptree's oracle and
+    # invariant checks, churn's convergence to the oracle under faults,
+    # centroid's exact check — so a probe-kernel regression fails here and
+    # not only in the benchmark pipeline.
+    echo "== e2ebench correctness smoke (1 s per workload) =="
+    e2e_log=$(mktemp /tmp/e2ebench.XXXXXX.log)
+    for w in sptree churn centroid; do
+        e2e_last=$(bash e2ebench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+            2>"$e2e_log" | tail -n 1) || { cat "$e2e_log"; exit 1; }
+        grep -q '"correct": true' <<<"$e2e_last" || {
+            cat "$e2e_log"; echo "e2ebench smoke: $w did not report correct: $e2e_last"; exit 1; }
+        echo "$w: correct"
+    done
+    rm -f "$e2e_log"
 
     # `sensorlog explain` end-to-end: a recursive 3-link chain whose proof
     # tree must span the grid and name the EDB leaf, with the latency-

@@ -10,14 +10,22 @@
 //! subgoals are checked against each node's fragments and kill the result
 //! on a match ("delete partial or complete results that match with a tuple
 //! in some S_j", Sec. IV-B).
+//!
+//! The kernel runs in id space on the same primitives as the centralized
+//! body evaluator (`FlatSubst`, `flat_match`, `flat_compare`, `flat_eval`):
+//! a candidate fragment is accepted by comparing interned ids on the
+//! literal's bound columns, and only the procedural-builtin call resolves
+//! ids back to boxed terms (see DESIGN.md, "Distributed evaluation").
 
 use crate::plan::DistProgram;
 use crate::tupleid::TupleId;
-use sensorlog_eval::eval_body::sem_match_args;
-use sensorlog_eval::relation::Database;
+use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_logic::ast::{Literal, Rule};
-use sensorlog_logic::intern;
-use sensorlog_logic::unify::Subst;
+use sensorlog_logic::builtin::{BuiltinError, BuiltinRegistry};
+use sensorlog_logic::flat::{
+    flat_compare, flat_eval, flat_is_ground, flat_match, flat_match_args, FlatSubst,
+};
+use sensorlog_logic::intern::{self, ConstId};
 use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_netsim::SimTime;
 
@@ -27,27 +35,12 @@ use sensorlog_netsim::SimTime;
 /// when they evaluate).
 #[derive(Clone, PartialEq, Debug)]
 pub struct Partial {
-    pub bindings: Vec<(Symbol, Term)>,
+    pub bindings: FlatSubst,
     pub bound: Vec<bool>,
     pub inputs: Vec<(u16, TupleId)>,
 }
 
 impl Partial {
-    pub fn subst(&self) -> Subst {
-        let mut s = Subst::new();
-        for (v, t) in &self.bindings {
-            s.bind(*v, t.clone());
-        }
-        s
-    }
-
-    fn absorb(&mut self, s: &Subst) {
-        // Keep bindings sorted by variable for canonical comparison.
-        let mut all: Vec<(Symbol, Term)> = s.iter().map(|(v, t)| (*v, t.clone())).collect();
-        all.sort_by_key(|(v, _)| *v);
-        self.bindings = all;
-    }
-
     /// All positive subgoals joined and all checks passed?
     pub fn is_complete(&self, shape: &RuleShape) -> bool {
         shape
@@ -57,11 +50,12 @@ impl Partial {
             .all(|&i| self.bound[i])
     }
 
-    /// Approximate wire size.
+    /// Approximate wire size: variable names plus the serialized size of
+    /// each bound value (the pool's cached [`Term::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.bindings
             .iter()
-            .map(|(v, t)| v.as_str().len() + t.byte_size())
+            .map(|(v, id)| v.as_str().len() + intern::entry(id).byte_size as usize)
             .sum::<usize>()
             + self.inputs.len() * 18
             + self.bound.len() / 8
@@ -115,22 +109,22 @@ pub fn seed_partial(
     id: TupleId,
 ) -> Option<Partial> {
     let atom = rule.body[occ].atom().expect("relational occurrence");
-    let mut s = Subst::new();
-    let terms = intern::boundary(|| tuple.terms());
-    if !sem_match_args(&prog.reg, &atom.args, &terms, &mut s) {
+    let mut bindings = FlatSubst::new();
+    if !flat_match_args(&prog.reg, &atom.args, tuple.ids(), &mut bindings) {
         return None;
     }
-    let mut p = Partial {
-        bindings: Vec::new(),
-        bound: vec![false; rule.body.len()],
-        inputs: Vec::new(),
+    let mut bound = vec![false; rule.body.len()];
+    bound[occ] = true;
+    let inputs = if negated {
+        Vec::new()
+    } else {
+        vec![(occ as u16, id)]
     };
-    p.bound[occ] = true;
-    if !negated {
-        p.inputs.push((occ as u16, id));
-    }
-    p.absorb(&s);
-    Some(p)
+    Some(Partial {
+        bindings,
+        bound,
+        inputs,
+    })
 }
 
 /// Local fragment lookup context at a node.
@@ -159,46 +153,26 @@ pub struct LocalCtx<'a> {
     pub generous: bool,
 }
 
-impl<'a> LocalCtx<'a> {
-    /// Does this replica participate in the probe (window, tombstone, and
-    /// timestamp-tie discipline)?
-    fn participates(&self, pred: Symbol, tuple: &Tuple) -> bool {
-        let Some(m) = self.db.relation(pred).and_then(|r| r.meta(tuple)) else {
+impl LocalCtx<'_> {
+    /// Does the replica `tuple` of `pred`, stored with metadata `m`,
+    /// participate in the probe (window, tombstone, and timestamp-tie
+    /// discipline)?
+    fn participates(&self, pred: Symbol, tuple: &Tuple, m: &TupleMeta) -> bool {
+        if m.gen_ts == self.tau
+            && !matches!((self.id_of)(pred, tuple), Some(id) if id <= self.update_id)
+        {
             return false;
-        };
-        if m.gen_ts > self.tau {
-            return false;
         }
-        if m.gen_ts == self.tau {
-            match (self.id_of)(pred, tuple) {
-                Some(id) if id <= self.update_id => {}
-                _ => return false,
-            }
-        }
-        if let Some(w) = self.prog.windows.get(&pred).copied() {
-            if m.gen_ts + w <= self.tau {
-                return false;
-            }
-        }
-        match m.del_ts {
-            Some(d) => d >= self.tau,
-            None => true,
-        }
+        m.visible_at(self.tau, self.prog.windows.get(&pred).copied())
     }
 
-    fn visible(&self, pred: Symbol, tuple: &Tuple) -> bool {
-        self.participates(pred, tuple)
-    }
-
-    fn visible_tuples(&self, pred: Symbol) -> Vec<Tuple> {
-        match self.db.relation(pred) {
-            Some(r) => r
-                .tuples()
-                .filter(|t| self.generous || self.participates(pred, t))
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        }
+    /// Does a participating local replica equal the ground tuple `ids`?
+    fn holds(&self, pred: Symbol, ids: Vec<ConstId>) -> bool {
+        let t = Tuple::from_ids(ids);
+        self.db
+            .relation(pred)
+            .and_then(|r| r.meta(&t))
+            .is_some_and(|m| self.participates(pred, &t, m))
     }
 }
 
@@ -218,132 +192,173 @@ pub fn process_partials(
     pinned: Option<usize>,
     restrict: Option<usize>,
 ) -> Vec<Partial> {
-    let mut out: Vec<Partial> = Vec::new();
-    for p in partials {
-        grow(ctx, rule, shape, p, pinned, restrict, 0, &mut out);
+    let mut g = Grow {
+        ctx,
+        rule,
+        shape,
+        pinned,
+        restrict,
+        out: Vec::new(),
+    };
+    for mut p in partials {
+        g.grow(&mut p, 0);
     }
-    out
+    g.out
 }
 
-#[allow(clippy::too_many_arguments)]
-fn grow(
-    ctx: &LocalCtx<'_>,
-    rule: &Rule,
-    shape: &RuleShape,
-    mut p: Partial,
+/// One rule's probe step at one node. `grow` works on a single partial in
+/// place: extensions push their binding, flag and input, recurse, and pop
+/// them again, so a partial is copied only when it is emitted.
+struct Grow<'c, 'a> {
+    ctx: &'c LocalCtx<'a>,
+    rule: &'c Rule,
+    shape: &'c RuleShape,
     pinned: Option<usize>,
     restrict: Option<usize>,
-    min_lit: usize,
-    out: &mut Vec<Partial>,
-) {
-    // 1. Evaluate any newly-evaluable checks; kill on failure or error.
-    let subst = p.subst();
-    for &i in &shape.checks {
-        if p.bound[i] {
-            continue;
+    out: Vec<Partial>,
+}
+
+impl Grow<'_, '_> {
+    fn grow(&mut self, p: &mut Partial, min_lit: usize) {
+        let mut flipped: Vec<usize> = Vec::new();
+        if self.settle(p, &mut flipped) {
+            self.out.push(p.clone());
+            self.extend(p, min_lit);
         }
-        match &rule.body[i] {
-            Literal::Cmp(op, l, r) => {
-                let lg = subst.apply(l);
-                let rg = subst.apply(r);
-                if lg.is_ground() && rg.is_ground() {
-                    match ctx.prog.reg.compare(*op, &lg, &rg) {
-                        Ok(true) => p.bound[i] = true,
-                        _ => return, // failed or errored: kill
-                    }
-                } // else: not yet evaluable
-            }
-            Literal::Builtin(atom) => {
-                let args: Option<Vec<Term>> = atom
-                    .args
-                    .iter()
-                    .map(|a| {
-                        let g = subst.apply(a);
-                        if g.is_ground() {
-                            ctx.prog.reg.eval_term(&g).ok()
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                if let Some(args) = args {
-                    match ctx.prog.reg.call_pred(atom.pred, &args) {
-                        Ok(true) => p.bound[i] = true,
-                        _ => return,
-                    }
-                }
-            }
-            _ => unreachable!("checks contains only Cmp/Builtin"),
+        for i in flipped {
+            p.bound[i] = false;
         }
     }
 
-    // 2. Local negation kills: a bound negated subgoal matching a visible
-    // local fragment kills the result.
-    for &i in &shape.negations {
-        if Some(i) == pinned {
-            continue;
-        }
-        if let Literal::Neg(atom) = &rule.body[i] {
-            let ground: Option<Vec<Term>> = atom
-                .args
-                .iter()
-                .map(|a| {
-                    let g = subst.apply(a);
-                    if g.is_ground() {
-                        ctx.prog.reg.eval_term(&g).ok()
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            if let Some(args) = ground {
-                if ctx.visible(atom.pred, &Tuple::new(args)) {
-                    return; // killed
-                }
-            }
-        }
-    }
-
-    out.push(p.clone());
-
-    // 3. Extend with local fragments (ascending literal order within this
-    // node avoids generating the same combination twice).
-    for &i in &shape.positives {
-        if i < min_lit || p.bound[i] {
-            continue;
-        }
-        if let Some(r) = restrict {
-            if i != r {
+    /// Evaluate the newly evaluable checks (recording the flags flipped in
+    /// `flipped`) and the local negation kills. `false` when the partial
+    /// dies: a check fails or errors, a negated subgoal matches a visible
+    /// local fragment, or a ground argument of either fails to evaluate.
+    fn settle(&self, p: &mut Partial, flipped: &mut Vec<usize>) -> bool {
+        let reg = &self.ctx.prog.reg;
+        for &i in &self.shape.checks {
+            if p.bound[i] {
                 continue;
             }
+            let holds = match &self.rule.body[i] {
+                Literal::Cmp(op, l, r) => {
+                    if !(flat_is_ground(l, &p.bindings) && flat_is_ground(r, &p.bindings)) {
+                        continue; // not yet evaluable
+                    }
+                    flat_compare(reg, *op, l, r, &p.bindings)
+                }
+                Literal::Builtin(atom) => match ground_args(reg, &atom.args, &p.bindings) {
+                    None => continue,
+                    Some(Err(_)) => return false,
+                    Some(Ok(ids)) => {
+                        let args: Vec<Term> = intern::boundary(|| intern::resolve_slice(&ids));
+                        reg.call_pred(atom.pred, &args)
+                    }
+                },
+                _ => unreachable!("checks contains only Cmp/Builtin"),
+            };
+            if !matches!(holds, Ok(true)) {
+                return false;
+            }
+            p.bound[i] = true;
+            flipped.push(i);
         }
-        if let Literal::Pos(atom) = &rule.body[i] {
-            for t in ctx.visible_tuples(atom.pred) {
-                let mut s = p.subst();
-                let terms = intern::boundary(|| t.terms());
-                if sem_match_args(&ctx.prog.reg, &atom.args, &terms, &mut s) {
+        for &i in &self.shape.negations {
+            if Some(i) == self.pinned {
+                continue;
+            }
+            let Literal::Neg(atom) = &self.rule.body[i] else {
+                unreachable!("negations contains only Neg");
+            };
+            let killed = match ground_args(reg, &atom.args, &p.bindings) {
+                None => false, // not yet evaluable
+                Some(Err(_)) => true,
+                Some(Ok(ids)) => self.ctx.holds(atom.pred, ids),
+            };
+            if killed {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Extend `p` with the local fragments of each unbound positive literal
+    /// from `min_lit` on (ascending literal order within this node avoids
+    /// generating the same combination twice).
+    fn extend(&mut self, p: &mut Partial, min_lit: usize) {
+        let (ctx, rule, shape) = (self.ctx, self.rule, self.shape);
+        let reg = &ctx.prog.reg;
+        'lits: for &i in &shape.positives {
+            if i < min_lit || p.bound[i] || self.restrict.is_some_and(|r| r != i) {
+                continue;
+            }
+            let Literal::Pos(atom) = &rule.body[i] else {
+                unreachable!("positives contains only Pos");
+            };
+            let Some(rel) = ctx.db.relation(atom.pred) else {
+                continue;
+            };
+            // Bound columns are evaluated once; a candidate must carry the
+            // same ids there. A bound column that fails to evaluate matches
+            // no fragment.
+            let mut key: Vec<(usize, ConstId)> = Vec::new();
+            let mut free: Vec<usize> = Vec::new();
+            for (c, a) in atom.args.iter().enumerate() {
+                if !flat_is_ground(a, &p.bindings) {
+                    free.push(c);
+                } else if let Ok(id) = flat_eval(reg, a, &p.bindings) {
+                    key.push((c, id));
+                } else {
+                    continue 'lits;
+                }
+            }
+            for (t, m) in rel.iter() {
+                let ids = t.ids();
+                if ids.len() != atom.args.len() || key.iter().any(|&(c, k)| ids[c] != k) {
+                    continue;
+                }
+                if !ctx.generous && !ctx.participates(atom.pred, t, m) {
+                    continue;
+                }
+                let mark = p.bindings.len();
+                if free
+                    .iter()
+                    .all(|&c| flat_match(reg, &atom.args[c], ids[c], &mut p.bindings))
+                {
                     // A visible fragment without an id means its id record
                     // raced an expiry: skip the match rather than panic.
-                    let Some(id) = (ctx.id_of)(atom.pred, &t) else {
-                        continue;
-                    };
-                    let mut q = p.clone();
-                    q.bound[i] = true;
-                    q.inputs.push((i as u16, id));
-                    q.absorb(&s);
-                    grow(ctx, rule, shape, q, pinned, restrict, i + 1, out);
+                    if let Some(id) = (ctx.id_of)(atom.pred, t) {
+                        p.bound[i] = true;
+                        p.inputs.push((i as u16, id));
+                        self.grow(p, i + 1);
+                        p.inputs.pop();
+                        p.bound[i] = false;
+                    }
                 }
+                p.bindings.truncate(mark);
             }
         }
     }
+}
+
+/// The evaluated arguments of a check or negated subgoal: `None` while any
+/// argument is unbound, else each argument's id or the first evaluation
+/// error.
+fn ground_args(
+    reg: &BuiltinRegistry,
+    args: &[Term],
+    s: &FlatSubst,
+) -> Option<Result<Vec<ConstId>, BuiltinError>> {
+    if !args.iter().all(|a| flat_is_ground(a, s)) {
+        return None;
+    }
+    Some(args.iter().map(|a| flat_eval(reg, a, s)).collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{compile_source, PlanTiming};
-    use sensorlog_eval::relation::TupleMeta;
-    use sensorlog_logic::builtin::BuiltinRegistry;
     use sensorlog_logic::parse_fact;
     use sensorlog_netsim::NodeId;
 
@@ -490,10 +505,10 @@ mod tests {
         assert!(seed.inputs.is_empty());
         assert!(seed.bound[3]);
         // Z is bound to 9 by the pin.
-        assert!(seed
-            .bindings
-            .iter()
-            .any(|(v, t)| v.as_str() == "Z" && *t == Term::Int(9)));
+        assert_eq!(
+            seed.bindings.get(Symbol::intern("Z")),
+            Some(intern::intern_int(9))
+        );
     }
 
     #[test]

@@ -107,6 +107,21 @@ impl FlatSubst {
         self.len as usize
     }
 
+    /// Keep only the first `len` bindings — backtracking after a match.
+    /// Matching only ever binds fresh variables, so truncating to the
+    /// length before a match undoes it exactly.
+    pub fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        self.spill.truncate(len.saturating_sub(INLINE));
+        let filled = self.filled();
+        for slot in &mut self.inline[len.min(INLINE)..filled] {
+            *slot = (Symbol::from_raw(0), 0);
+        }
+        self.len = len as u32;
+    }
+
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -621,6 +636,26 @@ mod tests {
         let w = id_of(&Term::app("pos", vec![Term::Int(9), Term::Int(2)]));
         let mut s = FlatSubst::new();
         assert!(!flat_match(&r, &pat, w, &mut s));
+    }
+
+    #[test]
+    fn truncate_undoes_later_binds_inline_and_spilled() {
+        let var = |i: usize| Symbol::intern(&format!("T{i}"));
+        let mut s = FlatSubst::new();
+        for i in 0..3 {
+            s.bind(var(i), intern::intern_int(i as i64));
+        }
+        let before = s.clone();
+        for i in 3..INLINE + 3 {
+            s.bind(var(i), intern::intern_int(i as i64));
+        }
+        assert_eq!(s.len(), INLINE + 3);
+        s.truncate(3);
+        assert_eq!(s, before);
+        assert_eq!(s.get(var(INLINE + 1)), None);
+        // Truncating to the current length or beyond is a no-op.
+        s.truncate(9);
+        assert_eq!(s, before);
     }
 
     #[test]
