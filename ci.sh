@@ -47,96 +47,49 @@ if [[ "$fast" -eq 0 ]]; then
         cargo run -q --release --bin sensorlog -- fix "$f" --dry-run
     done
 
-    # Frontier-bound tightness smoke: the 5x5 sweep must keep every
-    # finite bound sound (>= live tuples, >= per-node peak), no looser
-    # than the legacy S·Σ bound, and within 10x of the live count (the
-    # bin exits non-zero on any gate breach). The pinned worst-case
-    # tightness ratios anchor the quick artifact across processes; the
-    # committed BENCH_diag.json is the full-budget run.
-    echo "== diag smoke (--quick, tightness ratios pinned) =="
-    diag_out=$(mktemp /tmp/bench_diag.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin diag -- --quick --out "$diag_out"
-    python3 -m json.tool "$diag_out" > /dev/null
-    grep -q '"pred": "h", "legacy": 4186, "frontier": 161, "live": 41, "peak_node": 21, "tightness": 3' "$diag_out" || {
-        echo "diag smoke: logicH-5x5 h tightness drifted from the pin"; exit 1; }
-    grep -q '"pred": "hp", "legacy": 2080, "frontier": 240, "live": 24, "peak_node": 10, "tightness": 10' "$diag_out" || {
-        echo "diag smoke: logicH-5x5 hp tightness drifted from the pin"; exit 1; }
-    grep -q '"mirror": {"legacy": "unbounded", "frontier": 4800}' "$diag_out" || {
-        echo "diag smoke: windowed mirror recursion no longer gets its finite frontier bound"; exit 1; }
-    rm -f "$diag_out"
-
-    # Telemetry pipeline end-to-end + snapshot-schema golden check; writes
-    # BENCH_smoke.json (gitignored) as the inspectable artifact.
-    echo "== bench smoke (--quick) =="
-    cargo run -q --release -p sensorlog-bench --bin smoke -- --quick
-
-    # Scheduler/index microbench on a tiny budget: must exit 0 and emit
-    # parseable JSON. The committed BENCH_sched.json is the full-budget
-    # artifact; the smoke run writes to a scratch path and is discarded.
-    echo "== sched microbench smoke (--quick) =="
-    sched_out=$(mktemp /tmp/bench_sched.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin sched -- --quick --out "$sched_out"
-    python3 -m json.tool "$sched_out" > /dev/null
-    rm -f "$sched_out"
-
-    # Region-sharded scheduler smoke: a 2-worker quick run whose journal
-    # must match the single-wheel oracle hash computed in the same process
-    # (the bin exits non-zero on any divergence), plus the pinned quick
-    # trace hash as a cross-process regression anchor.
-    echo "== shard scaling smoke (--quick, 2-worker journal pinned) =="
-    shard_out=$(mktemp /tmp/bench_shard.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin shard -- --quick --out "$shard_out"
-    python3 -m json.tool "$shard_out" > /dev/null
-    grep -q '"hash": "454242ed8c28a208"' "$shard_out" || {
-        echo "shard smoke: quick trace hash drifted (journal no longer matches the pin)"; exit 1; }
-    rm -f "$shard_out"
-
-    # Fault-plane chaos smoke: a scripted crash/partition scenario under
-    # heap, wheel, and 2-worker shard whose journals must agree in-process
-    # (the bin exits non-zero on divergence or on any convergence-to-oracle
-    # violation), plus the pinned cross-backend journal hash as the
-    # cross-process regression anchor. The same scenario produces the
-    # committed BENCH_chaos.json, which pins the identical hash.
-    echo "== chaos smoke (--quick, fault-plane journal pinned) =="
-    chaos_out=$(mktemp /tmp/bench_chaos.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin chaos -- --quick --out "$chaos_out"
-    python3 -m json.tool "$chaos_out" > /dev/null
-    grep -q '"hash": "bc026db128c91410"' "$chaos_out" || {
-        echo "chaos smoke: quick journal hash drifted (fault-plane trace no longer matches the pin)"; exit 1; }
-    rm -f "$chaos_out"
-
-    # Provenance overhead smoke: a 50-node logicH run, provenance off vs
-    # on. The bin exits non-zero unless the two journals are identical
-    # (pure-observer contract) and a sampled derived tuple proves
-    # end-to-end; the pinned hash anchors the disabled-provenance trace
-    # across processes.
-    echo "== provenance smoke (--quick, pure-observer journal pinned) =="
-    prov_out=$(mktemp /tmp/bench_prov.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin prov -- --quick --out "$prov_out"
-    python3 -m json.tool "$prov_out" > /dev/null
-    grep -q '"hash": "3c1ec08c6289dba4"' "$prov_out" || {
-        echo "prov smoke: quick journal hash drifted (provenance plane perturbed the trace, or the sim changed)"; exit 1; }
-    rm -f "$prov_out"
-
-    # Intern smoke: the flat-tuple representation must be invisible in the
-    # trace (deployment journal matches the pre-refactor pin) and the
-    # fixpoint loop must run resolve-free — `intern.hot.resolves` counts
-    # any id -> Term materialization outside an `intern::boundary` scope,
-    # and the bin exits non-zero if either gate fails. The deployment's
-    # probe step declares no boundary (only its procedural-builtin call
-    # does), so `deploy_hot` also catches a resolve there. The greps re-check
-    # the emitted JSON so a silent bin regression can't pass.
-    echo "== intern smoke (--quick, journal pinned + resolve gate) =="
-    intern_out=$(mktemp /tmp/bench_intern.XXXXXX.json)
-    cargo run -q --release -p sensorlog-bench --bin intern -- --quick --out "$intern_out"
-    python3 -m json.tool "$intern_out" > /dev/null
-    grep -q '"hash": "3c1ec08c6289dba4"' "$intern_out" || {
-        echo "intern smoke: journal hash drifted (flat representation is visible in the trace)"; exit 1; }
-    grep -q '"engine_hot": 0' "$intern_out" || {
-        echo "intern smoke: hot-path resolves in the engine fixpoint loop"; exit 1; }
-    grep -q '"deploy_hot": 0' "$intern_out" || {
-        echo "intern smoke: hot-path resolves in the deployment loop"; exit 1; }
-    rm -f "$intern_out"
+    # Bench driver smoke: every `bench <suite> --quick` run must exit 0
+    # and write parseable JSON. Each suite enforces its own gates in-process
+    # and exits non-zero on a breach: shard journals = the wheel oracle,
+    # chaos heap = wheel = shard journals and convergence to the oracle,
+    # prov on = off journals plus an end-to-end proof, intern's resolve
+    # gate and its journal pin, diag's soundness and 10x tightness gates,
+    # and smoke's snapshot-schema golden file. The needles below re-check
+    # the emitted text: the worst-case diag tightness ratios and the
+    # windowed mirror's finite bound, and intern's zero hot-path
+    # resolves. The journal hashes these runs produce are pinned in
+    # tier-1 (tests/trace_stability.rs, tests/chaos.rs). The committed
+    # BENCH_<suite>.json files are the full-budget runs.
+    echo "== bench suites (--quick) + figures fig10 fig14 =="
+    bench() { cargo run -q --release -p sensorlog-bench -- "$@"; }
+    suite_needles() {
+        case "$1" in
+            diag) printf '%s\n' \
+                '"pred": "h", "legacy": 4186, "frontier": 161, "live": 41, "peak_node": 21, "tightness": 3' \
+                '"pred": "hp", "legacy": 2080, "frontier": 240, "live": 24, "peak_node": 10, "tightness": 10' \
+                '"mirror": {"legacy": "unbounded", "frontier": 4800}' ;;
+            intern) printf '%s\n' '"engine_hot": 0' '"deploy_hot": 0' ;;
+        esac
+    }
+    for suite in smoke sched shard chaos prov intern diag; do
+        out=$(mktemp "/tmp/bench_$suite.XXXXXX.json")
+        bench "$suite" --quick --out "$out"
+        # smoke writes JSONL snapshot records, one JSON object per line.
+        if [[ "$suite" == smoke ]]; then
+            python3 -c 'import json, sys; [json.loads(l) for l in open(sys.argv[1])]' "$out"
+        else
+            python3 -m json.tool "$out" > /dev/null
+        fi
+        while IFS= read -r needle; do
+            grep -qF -- "$needle" "$out" || {
+                echo "$suite smoke: missing \`$needle\` in $out"; exit 1; }
+        done < <(suite_needles "$suite")
+        rm -f "$out"
+    done
+    figures_out=$(bench figures fig10 fig14)
+    for needle in '== fig10 ' '== fig14 '; do
+        grep -qF -- "$needle" <<<"$figures_out" || {
+            echo "figures smoke: missing \`$needle\`"; echo "$figures_out"; exit 1; }
+    done
 
     # Benchmark correctness smoke: a one-second run of each e2ebench
     # workload must end with `"correct": true` — sptree's oracle and

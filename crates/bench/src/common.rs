@@ -9,6 +9,11 @@ use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SharedSummary, SimConfig, SimTime, Topology, TraceSummary};
 use sensorlog_telemetry::{Snapshot, Telemetry};
 
+/// Shorthand for [`Symbol::intern`].
+pub(crate) fn sym(s: &str) -> Symbol {
+    Symbol::intern(s)
+}
+
 /// Summary of one deployment run.
 #[derive(Clone, Debug)]
 pub struct RunPoint {

@@ -4,23 +4,15 @@
 //! network", Sec. III-A). We crash a node mid-run and measure what fraction
 //! of the expected results each strategy can still produce/serve.
 
+use crate::common::sym;
+use crate::experiments::joins::JOIN2;
 use crate::table::{f2, Table};
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::oracle;
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::Symbol;
 use sensorlog_netsim::{NodeId, SimConfig, Topology};
-
-const JOIN3: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// One run: crash `victim` halfway through the workload; return
 /// (completeness, soundness).
@@ -37,7 +29,7 @@ fn run_with_failure(strategy: Strategy, victim: NodeId) -> (f64, f64) {
         },
         ..DeployConfig::default()
     };
-    let mut d = Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+    let mut d = Deployment::new(JOIN2, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
     let events = UniformStreams {
         preds: vec![sym("r1"), sym("r2")],
         interval: 8_000,

@@ -5,6 +5,8 @@
 //! vertical path intersects with every horizontal path"). Coordinate bands
 //! play the role of rows/columns on connected random geometric graphs.
 
+use crate::common::sym;
+use crate::experiments::joins::JOIN2;
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,17 +15,8 @@ use sensorlog_core::oracle;
 use sensorlog_core::{RtConfig, Strategy};
 use sensorlog_eval::UpdateKind;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN3: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Random workload over a geometric topology (one reading per node per
 /// stream, selective keys).
@@ -91,7 +84,7 @@ pub fn fig16() -> Table {
                 ..DeployConfig::default()
             };
             let mut d =
-                Deployment::new(JOIN3, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+                Deployment::new(JOIN2, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
             let events = geo_workload(&topo, 29 + n as u64);
             d.schedule_all(events.clone());
             d.run(60_000_000);

@@ -1,23 +1,20 @@
 //! Join experiments: Figs. 4–7 (communication cost vs. network size, load
 //! balance, multi-stream one-pass vs. multiple-pass, spatial constraints).
 
-use crate::common::{join_strategies, run_case, run_cases, CaseSpec, RunPoint};
+use crate::common::{join_strategies, run_case, run_cases, sym, CaseSpec, RunPoint};
 use crate::table::{f2, Table};
 use sensorlog_core::deploy::WorkloadEvent;
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_eval::UpdateKind;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
 
-const JOIN2: &str = r#"
+/// The two-stream equijoin every join experiment and suite deploys.
+pub const JOIN2: &str = r#"
     .output q.
     q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
 "#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 fn join_workload(topo: &Topology, preds: &[&str], groups: u32, seed: u64) -> Vec<WorkloadEvent> {
     UniformStreams {

@@ -3,19 +3,14 @@
 //! of tuples stored at any node is at most 2 to 3 times its degree" for the
 //! shortest-path program).
 
-use crate::common::run_case;
+use crate::common::{run_case, sym};
 use crate::experiments::sptree::LOGIC_J;
 use crate::table::Table;
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::workload::{graph_edges, UniformStreams};
 use sensorlog_core::{PassMode, RtConfig, Strategy};
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Table 1 rows: program, grid, peak replicas (max node), peak derivations
 /// (max node), peak total items.

@@ -3,14 +3,14 @@
 //! communication by phase and verifies exactness against the oracle for
 //! growing delete fractions.
 
-use crate::common::run_case;
+use crate::common::{run_case, sym};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::deploy::WorkloadEvent;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_eval::UpdateKind;
-use sensorlog_logic::{Symbol, Term, Tuple};
+use sensorlog_logic::{Term, Tuple};
 use sensorlog_netsim::{SimConfig, Topology};
 
 /// Per-epoch alert with negation: a sighting is covered when a suppressor
@@ -21,10 +21,6 @@ const ALERT: &str = r#"
     cov(V, K) :- sight(V, K), supp(V, K).
     alert(V, K) :- not cov(V, K), sight(V, K).
 "#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Epoch workload: every node sights every epoch; every 4th node has a
 /// suppressor, a `frac` fraction of which are later deleted.

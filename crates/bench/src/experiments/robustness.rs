@@ -1,23 +1,14 @@
 //! Fig. 9 (robustness under message loss) and Table 2 (the testbed
 //! profile: clock skew + jittered delays + asymmetric links).
 
-use crate::common::{run_case, run_cases, CaseSpec};
+use crate::common::{run_case, run_cases, sym, CaseSpec};
+use crate::experiments::joins::JOIN2;
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
-use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
-
-fn sym(s: &str) -> Symbol {
-    Symbol::intern(s)
-}
 
 /// Fig. 9: result completeness vs per-transmission loss probability, PA vs
 /// Centroid on an 8×8 grid.

@@ -12,12 +12,14 @@
 use crate::table::Table;
 use sensorlog_core::deploy::{DeployConfig, Deployment};
 use sensorlog_core::workload::graph_edges;
-use sensorlog_core::{RtConfig, Strategy};
+use sensorlog_core::{Provenance, RtConfig, Strategy};
+use sensorlog_eval::Database;
 use sensorlog_logic::builtin::BuiltinRegistry;
-use sensorlog_logic::{Symbol, Term};
+use sensorlog_logic::{Symbol, Term, Tuple};
 use sensorlog_netsim::NodeId;
 use sensorlog_netsim::{SimConfig, Topology};
 use sensorlog_netstack::flood::run_flood;
+use std::collections::BTreeSet;
 
 pub const LOGIC_H: &str = r#"
     .output h.
@@ -35,37 +37,78 @@ pub const LOGIC_J: &str = r#"
     j(Y, D + 1) :- g(X, Y), j(X, D), not jp(Y, D + 1).
 "#;
 
-/// Run one deductive tree construction; returns (messages, converged-at ms,
-/// depths correct?).
-fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, u64, bool) {
-    let topo = Topology::square_grid(m);
+/// `src` (logicH or logicJ) under PA on `topo`: the deployment every
+/// shortest-path-tree bench builds. The caller schedules the `g` edges.
+pub(crate) fn pa_deployment(
+    src: &str,
+    topo: &Topology,
+    sim: SimConfig,
+    provenance: Provenance,
+) -> Deployment {
     let cfg = DeployConfig {
         rt: RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             ..RtConfig::default()
         },
-        sim: SimConfig::default(),
+        sim,
+        provenance,
         ..DeployConfig::default()
     };
-    let mut d = Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+    Deployment::new(src, BuiltinRegistry::standard(), topo.clone(), cfg)
+        .expect("bench program compiles")
+}
+
+/// Every directed link of `topo` as a `g(a, b)` tuple.
+pub(crate) fn edge_tuples(topo: &Topology) -> Vec<Tuple> {
+    topo.nodes()
+        .flat_map(|a| {
+            topo.neighbors(a)
+                .iter()
+                .map(move |&b| Tuple::new(vec![Term::Int(a.0 as i64), Term::Int(b.0 as i64)]))
+        })
+        .collect()
+}
+
+/// [`edge_tuples`] as a centralized EDB for the `Engine`.
+pub(crate) fn edge_edb(topo: &Topology) -> Database {
+    let mut edb = Database::new();
+    let g = Symbol::intern("g");
+    for t in edge_tuples(topo) {
+        edb.insert(g, t);
+    }
+    edb
+}
+
+/// Whether every node of the grid `topo` appears in `results` exactly at
+/// its BFS depth from corner 0 (x + y), reading the node and depth from
+/// columns `pos`.
+pub(crate) fn depths_correct(
+    topo: &Topology,
+    results: &BTreeSet<Tuple>,
+    pos: (usize, usize),
+) -> bool {
+    topo.nodes().all(|node| {
+        let (x, y) = topo.grid_coords(node).expect("grid topology");
+        let want = (x + y) as i64;
+        let mut depths = results
+            .iter()
+            .filter(|t| t.get(pos.0) == Term::Int(node.0 as i64))
+            .map(|t| t.get(pos.1).as_i64().expect("integer depth"))
+            .peekable();
+        depths.peek().is_some() && depths.all(|d| d == want)
+    })
+}
+
+/// Run one deductive tree construction; returns (messages, converged-at ms,
+/// depths correct?).
+fn run_deductive(src: &str, out_pred: &str, m: u32) -> (u64, u64, bool) {
+    let topo = Topology::square_grid(m);
+    let mut d = pa_deployment(src, &topo, SimConfig::default(), Provenance::disabled());
     d.schedule_all(graph_edges(&topo, 100, 200));
     let converged = d.run(200_000_000);
     let results = d.results(Symbol::intern(out_pred));
-    // Verify BFS depths: node (x, y) at depth x + y from corner 0.
     let depth_pos = if out_pred == "h" { (1, 2) } else { (0, 1) };
-    let mut ok = true;
-    for node in topo.nodes() {
-        let (x, y) = topo.grid_coords(node).unwrap();
-        let want = (x + y) as i64;
-        let depths: Vec<i64> = results
-            .iter()
-            .filter(|t| t.get(depth_pos.0) == Term::Int(node.0 as i64))
-            .map(|t| t.get(depth_pos.1).as_i64().unwrap())
-            .collect();
-        if depths.is_empty() || depths.iter().any(|&d| d != want) {
-            ok = false;
-        }
-    }
+    let ok = depths_correct(&topo, &results, depth_pos);
     (d.metrics().total_tx(), converged, ok)
 }
 

@@ -24,12 +24,8 @@ use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
 use sensorlog_telemetry::{Snapshot, Telemetry};
 
+use super::joins::JOIN2;
 use super::sptree::{LOGIC_H, LOGIC_J};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
 
 /// Run one shortest-path-tree program with telemetry enabled and return
 /// its snapshot (the sptree experiment itself runs blind; here the

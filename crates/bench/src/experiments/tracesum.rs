@@ -8,16 +8,12 @@
 //! streaming trace counters agree with the radio metrics.
 
 use crate::common::{join_strategies, run_case};
+use crate::experiments::joins::JOIN2;
 use crate::table::Table;
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
 
 fn strategy_name(s: Strategy) -> &'static str {
     match s {

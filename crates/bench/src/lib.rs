@@ -1,16 +1,20 @@
 //! # sensorlog-bench
 //!
 //! Experiment harness for the reproduction: one function per paper figure
-//! or table (reconstructed Section VI — see DESIGN.md), shared run
-//! machinery, and text-table output. The `figures` binary drives it:
+//! or table (reconstructed Section VI — see DESIGN.md), the feature suites
+//! that write the `BENCH_<suite>.json` artifacts, shared run machinery,
+//! and text-table and JSON output. The one `bench` binary drives it all:
 //!
 //! ```text
-//! cargo run --release -p sensorlog-bench --bin figures -- all
-//! cargo run --release -p sensorlog-bench --bin figures -- fig4 fig8
+//! cargo run --release -p sensorlog-bench -- figures all
+//! cargo run --release -p sensorlog-bench -- figures fig4 fig8
+//! cargo run --release -p sensorlog-bench -- chaos --quick --out /tmp/chaos.json
 //! ```
 
 pub mod common;
 pub mod experiments;
+mod json;
+pub mod suites;
 pub mod table;
 
 pub use table::Table;
@@ -21,43 +25,29 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "fig15", "fig16", "table1", "table2", "table3", "table4", "table5",
 ];
 
-/// Run experiments by id; unknown ids are reported and skipped.
-pub fn run(ids: &[&str]) -> Vec<Table> {
-    let mut out = Vec::new();
-    let mut fig45: Option<(Table, Table)> = None;
-    let mut tab45: Option<(Table, Table)> = None;
-    for &id in ids {
-        match id {
-            "fig4" | "fig5" => {
-                if fig45.is_none() {
-                    fig45 = Some(experiments::joins::fig4_fig5());
-                }
-                let (f4, f5) = fig45.clone().expect("computed");
-                out.push(if id == "fig4" { f4 } else { f5 });
-            }
-            "fig6" => out.push(experiments::joins::fig6()),
-            "fig7" => out.push(experiments::joins::fig7()),
-            "fig8" => out.push(experiments::sptree::fig8()),
-            "fig9" => out.push(experiments::robustness::fig9()),
-            "fig10" => out.push(experiments::negation::fig10()),
-            "fig11" => out.push(experiments::ablation::fig11()),
-            "fig12" => out.push(experiments::ablation::fig12()),
-            "fig13" => out.push(experiments::failures::fig13()),
-            "fig14" => out.push(experiments::aggregates::fig14()),
-            "fig15" => out.push(experiments::holddown::fig15()),
-            "fig16" => out.push(experiments::geometric::fig16()),
-            "table1" => out.push(experiments::memory::table1()),
-            "table2" => out.push(experiments::robustness::table2()),
-            "table3" => out.push(experiments::tracesum::table3()),
-            "table4" | "table5" => {
-                if tab45.is_none() {
-                    tab45 = Some(experiments::telemetry::table4_table5());
-                }
-                let (t4, t5) = tab45.clone().expect("computed");
-                out.push(if id == "table4" { t4 } else { t5 });
-            }
-            other => eprintln!("unknown experiment id: {other}"),
-        }
-    }
-    out
+/// The table of one experiment id, `None` for an id not in
+/// [`ALL_EXPERIMENTS`].
+pub fn run(id: &str) -> Option<Table> {
+    use experiments::*;
+    Some(match id {
+        "fig4" => joins::fig4_fig5().0,
+        "fig5" => joins::fig4_fig5().1,
+        "fig6" => joins::fig6(),
+        "fig7" => joins::fig7(),
+        "fig8" => sptree::fig8(),
+        "fig9" => robustness::fig9(),
+        "fig10" => negation::fig10(),
+        "fig11" => ablation::fig11(),
+        "fig12" => ablation::fig12(),
+        "fig13" => failures::fig13(),
+        "fig14" => aggregates::fig14(),
+        "fig15" => holddown::fig15(),
+        "fig16" => geometric::fig16(),
+        "table1" => memory::table1(),
+        "table2" => robustness::table2(),
+        "table3" => tracesum::table3(),
+        "table4" => telemetry::table4_table5().0,
+        "table5" => telemetry::table4_table5().1,
+        _ => return None,
+    })
 }

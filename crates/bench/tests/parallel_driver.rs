@@ -5,16 +5,12 @@
 //! reference.
 
 use sensorlog_bench::common::{run_cases_with, CaseSpec};
+use sensorlog_bench::experiments::joins::JOIN2;
 use sensorlog_bench::Table;
 use sensorlog_core::workload::UniformStreams;
 use sensorlog_core::{PassMode, Strategy};
 use sensorlog_logic::Symbol;
 use sensorlog_netsim::{SimConfig, Topology};
-
-const JOIN2: &str = r#"
-    .output q.
-    q(X, Y) :- r1(N1, X, K), r2(N2, Y, K).
-"#;
 
 fn small_sweep() -> Vec<CaseSpec> {
     let mut specs = Vec::new();

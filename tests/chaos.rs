@@ -307,6 +307,32 @@ fn chaos_journal_identical_across_backends() {
     assert_eq!(heap.content_hash(), shard.content_hash());
 }
 
+/// The `bench chaos` backend scenario, pinned: seed 42, the plane active
+/// until 26 s, the scripted crash/restart and link flap, 240 s horizon.
+#[test]
+fn chaos_backend_scenario_journal_is_pinned() {
+    let topo = Topology::square_grid(4);
+    let mut d = chaos_deployment(42, Sched::Wheel, 26_000);
+    let journal = d.attach_journal();
+    d.set_fault_schedule(
+        FaultSchedule::new()
+            .crash(1_337, NodeId(5))
+            .restart(2_911, NodeId(5))
+            .link_down(703, NodeId(1), NodeId(2))
+            .link_up(4_441, NodeId(1), NodeId(2)),
+    );
+    d.schedule_all(churn_events(&topo, 42));
+    d.run(240_000);
+    assert!(d.sim.is_quiescent());
+    let j = journal.take();
+    assert_eq!(j.records.len(), 66_221, "journal record count drifted");
+    assert_eq!(
+        j.content_hash(),
+        0xbc026db128c91410,
+        "fault-plane journal hash drifted"
+    );
+}
+
 // Durable-store equivalence (satellite 3, mechanism level): for any op
 // sequence and any checkpoint cadence, recovery returns exactly the facts
 // a never-crashed reference map holds, with the original ids, and a seq

@@ -33,12 +33,29 @@ const PINNED_HASH: u64 = 0xf223a9e4a847cca2;
 const PINNED_RECORDS: usize = 29219;
 const PINNED_TX: u64 = 14138;
 
+/// A seed-17 logicH-under-PA run: grid, loss rate, `graph_edges` spacing
+/// (the lag between successive edge injections) and horizon.
+struct Scenario {
+    grid: (u32, u32),
+    loss: f64,
+    lag: u64,
+    horizon: u64,
+}
+
+/// The lossy 200-node run the constants above pin.
+const LOSSY_200: Scenario = Scenario {
+    grid: (20, 10),
+    loss: 0.1,
+    lag: 200,
+    horizon: 2_000_000,
+};
+
 fn run_probe(telemetry: Telemetry) -> (usize, u64, u64) {
-    run_probe_full(telemetry, Sched::Wheel, Provenance::disabled()).0
+    run_probe_sched(telemetry, Sched::Wheel)
 }
 
 fn run_probe_sched(telemetry: Telemetry, sched: Sched) -> (usize, u64, u64) {
-    run_probe_full(telemetry, sched, Provenance::disabled()).0
+    run_probe_full(telemetry, sched, Provenance::disabled(), &LOSSY_200).0
 }
 
 /// Returns the journal fingerprint triple plus the number of provenance
@@ -47,15 +64,16 @@ fn run_probe_full(
     telemetry: Telemetry,
     sched: Sched,
     provenance: Provenance,
+    scenario: &Scenario,
 ) -> ((usize, u64, u64), usize) {
-    let topo = Topology::grid(20, 10); // 200 nodes
+    let topo = Topology::grid(scenario.grid.0, scenario.grid.1);
     let cfg = DeployConfig {
         rt: RtConfig {
             strategy: Strategy::Perpendicular { band_width: 1.0 },
             ..RtConfig::default()
         },
         sim: SimConfig {
-            loss_prob: 0.1,
+            loss_prob: scenario.loss,
             seed: 17,
             sched,
             ..SimConfig::default()
@@ -71,8 +89,8 @@ fn run_probe_full(
     // the fallback path. No effect on the other backends.
     d.set_shard_threshold(0);
     let journal = d.attach_journal();
-    d.schedule_all(graph_edges(&topo, 100, 200));
-    d.run(2_000_000);
+    d.schedule_all(graph_edges(&topo, 100, scenario.lag));
+    d.run(scenario.horizon);
     let j = journal.take();
     (
         (j.records.len(), j.content_hash(), d.metrics().total_tx()),
@@ -138,8 +156,12 @@ fn provenance_does_not_perturb_the_trace() {
     // with recording enabled the journal must stay byte-identical to the
     // pin, while actually capturing a non-trivial record log. Disabled,
     // it must capture nothing at all.
-    let ((records, hash, tx), n_prov) =
-        run_probe_full(Telemetry::disabled(), Sched::Wheel, Provenance::enabled());
+    let ((records, hash, tx), n_prov) = run_probe_full(
+        Telemetry::disabled(),
+        Sched::Wheel,
+        Provenance::enabled(),
+        &LOSSY_200,
+    );
     assert_eq!(records, PINNED_RECORDS);
     assert_eq!(tx, PINNED_TX);
     assert_eq!(
@@ -151,8 +173,12 @@ fn provenance_does_not_perturb_the_trace() {
         "a 200-node logicH run should capture thousands of provenance records, got {n_prov}"
     );
 
-    let (_, n_disabled) =
-        run_probe_full(Telemetry::disabled(), Sched::Wheel, Provenance::disabled());
+    let (_, n_disabled) = run_probe_full(
+        Telemetry::disabled(),
+        Sched::Wheel,
+        Provenance::disabled(),
+        &LOSSY_200,
+    );
     assert_eq!(n_disabled, 0, "disabled plane must record nothing");
 }
 
@@ -165,6 +191,7 @@ fn provenance_pin_holds_on_the_shard_backend_too() {
         Telemetry::disabled(),
         Sched::Shard { workers: 2 },
         Provenance::enabled(),
+        &LOSSY_200,
     );
     assert_eq!(records, PINNED_RECORDS);
     assert_eq!(tx, PINNED_TX);
@@ -173,6 +200,46 @@ fn provenance_pin_holds_on_the_shard_backend_too() {
         "provenance under the shard backend changed the journal"
     );
     assert!(n_prov > 1_000);
+}
+
+#[test]
+fn loss_free_50_node_trace_is_pinned() {
+    // The `bench prov` / `bench intern` scenario: loss-free, so the tree
+    // fully converges, on a 10×5 grid.
+    let scenario = Scenario {
+        grid: (10, 5),
+        loss: 0.0,
+        lag: 200,
+        horizon: 2_000_000,
+    };
+    let ((records, hash, _), _) = run_probe_full(
+        Telemetry::disabled(),
+        Sched::Wheel,
+        Provenance::disabled(),
+        &scenario,
+    );
+    assert_eq!(records, 35_342, "journal record count drifted");
+    assert_eq!(hash, 0x3c1ec08c6289dba4, "journal content hash drifted");
+}
+
+#[test]
+fn simultaneous_injection_600_node_trace_is_pinned() {
+    // The `bench shard --quick` oracle: a 30×20 grid whose edges all
+    // inject at once (lag 0), under 5% loss.
+    let scenario = Scenario {
+        grid: (30, 20),
+        loss: 0.05,
+        lag: 0,
+        horizon: 400_000,
+    };
+    let ((records, hash, _), _) = run_probe_full(
+        Telemetry::disabled(),
+        Sched::Wheel,
+        Provenance::disabled(),
+        &scenario,
+    );
+    assert_eq!(records, 161_107, "journal record count drifted");
+    assert_eq!(hash, 0x454242ed8c28a208, "journal content hash drifted");
 }
 
 /// Shard-vs-wheel journals for a small lossy logicH run under arbitrary
