@@ -95,15 +95,19 @@ if [[ "$fast" -eq 0 ]]; then
     # workload must end with `"correct": true` — sptree's oracle and
     # invariant checks, churn's convergence to the oracle under faults,
     # centroid's exact check — so a probe-kernel regression fails here and
-    # not only in the benchmark pipeline.
-    echo "== e2ebench correctness smoke (1 s per workload) =="
+    # not only in the benchmark pipeline. The traced churn run builds its
+    # nodes by hand through `SensorlogNode::new(..).with_durable(..)` and
+    # reports `"correct": false` when its counters differ from the
+    # untraced deployment's.
+    echo "== e2ebench correctness smoke (1 s per run) =="
     e2e_log=$(mktemp /tmp/e2ebench.XXXXXX.log)
-    for w in sptree churn centroid; do
-        e2e_last=$(bash e2ebench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 \
+    for run in "sptree 0" "churn 0" "centroid 0" "churn 1"; do
+        read -r w trace <<<"$run"
+        e2e_last=$(bash e2ebench/run.sh --workload "$w" --seed 1 --seconds 1 --trace "$trace" \
             2>"$e2e_log" | tail -n 1) || { cat "$e2e_log"; exit 1; }
         grep -q '"correct": true' <<<"$e2e_last" || {
-            cat "$e2e_log"; echo "e2ebench smoke: $w did not report correct: $e2e_last"; exit 1; }
-        echo "$w: correct"
+            cat "$e2e_log"; echo "e2ebench smoke: $w --trace $trace did not report correct: $e2e_last"; exit 1; }
+        echo "$w --trace $trace: correct"
     done
     rm -f "$e2e_log"
 

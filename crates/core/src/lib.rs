@@ -14,7 +14,8 @@
 //!   (Fig. 1), local negation kills (Sec. IV-B);
 //! * [`runtime`] — the node state machine: storage phase (replication /
 //!   tombstones), delayed join phase (τs + τc), derivation-count ownership
-//!   with liveness propagation (Secs. III–IV, Fig. 3);
+//!   with liveness propagation (Secs. III–IV, Fig. 3), with the opt-in
+//!   fault plane split off into one `Option<FaultPlane>` per node;
 //! * [`deploy`] / [`workload`] / [`oracle`] — the experiment harness:
 //!   deployments, workload generators, and centralized-oracle checking.
 //!

@@ -7,14 +7,21 @@
 //! under the geographic hash — maintains the set of derivations with
 //! multiplicity counts and propagates liveness transitions as new stream
 //! updates (Secs. III-B, IV).
+//!
+//! The opt-in fault plane lives in the `faults` submodule; this module
+//! reaches it only through `Option<&FaultPlane>`.
 
-use crate::durable::DurableStore;
+mod faults;
+
+pub use faults::FaultPlaneCfg;
+
 use crate::msg::{Payload, ProbeMsg, RuleWork};
 use crate::partial::{process_partials, seed_partial, LocalCtx, Partial, RuleShape};
 use crate::plan::DistProgram;
 use crate::prov::{ProvRecord, Provenance};
 use crate::strategy::{PassMode, Strategy};
 use crate::tupleid::{DerivationKey, FactRecord, TupleId};
+use faults::{FaultPlane, Tick};
 use sensorlog_eval::eval_body::instantiate_head;
 use sensorlog_eval::relation::{Database, TupleMeta};
 use sensorlog_eval::{IncrementalEngine, Update, UpdateKind};
@@ -23,7 +30,7 @@ use sensorlog_netsim::{App, Ctx, MsgMeta, NodeId, SimTime, Topology, TopologyKin
 use sensorlog_netstack::ght;
 use sensorlog_telemetry::{Histogram, Scope, Telemetry, SIM_MS_BUCKETS};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Shared routing context: the topology plus (off-grid) precomputed BFS
 /// next-hop tables.
@@ -154,57 +161,6 @@ impl Default for RtConfig {
     }
 }
 
-/// Fault-plane parameters (heartbeats, leases, refresh, checkpointing).
-#[derive(Clone, Debug)]
-pub struct FaultPlaneCfg {
-    /// 1-hop aliveness beacon period (ms).
-    pub heartbeat_ms: SimTime,
-    /// A neighbor silent for longer than this is declared dead and its
-    /// death flooded (lease expiry, Theorem 3's failure-detection input).
-    pub lease_ms: SimTime,
-    /// Source-driven refresh period: live base facts are re-announced (with
-    /// their original ids, so re-announcement is idempotent) and recent
-    /// tombstones re-sent, healing state lost to crashes and partitions.
-    pub refresh_ms: SimTime,
-    /// Fold the durable journal tail into its checkpoint every N ops.
-    pub checkpoint_every: usize,
-    /// Stop re-arming periodic fault-plane timers once local time passes
-    /// this bound, so a healed network can quiesce for oracle comparison.
-    pub active_until: SimTime,
-}
-
-impl Default for FaultPlaneCfg {
-    fn default() -> Self {
-        FaultPlaneCfg {
-            heartbeat_ms: 200,
-            lease_ms: 700,
-            refresh_ms: 2_000,
-            checkpoint_every: 8,
-            active_until: 60_000,
-        }
-    }
-}
-
-/// What this node currently believes about one peer's liveness. Merged
-/// CRDT-style: higher `version` wins, on a tie dead beats alive, and a
-/// larger `boot_ts` (a newer incarnation) is always news.
-#[derive(Clone, Copy, Debug)]
-struct LiveEntry {
-    version: SimTime,
-    alive: bool,
-    boot_ts: SimTime,
-}
-
-impl Default for LiveEntry {
-    fn default() -> Self {
-        LiveEntry {
-            version: 0,
-            alive: true,
-            boot_ts: 0,
-        }
-    }
-}
-
 /// Owner-side state of a derived tuple.
 #[derive(Debug, Default)]
 struct Owned {
@@ -216,68 +172,13 @@ struct Owned {
 }
 
 impl Owned {
-    fn live(&self) -> bool {
-        self.counts.values().any(|&c| c > 0)
+    /// At least one positively counted derivation — under the fault plane,
+    /// one whose inputs all survive its liveness view.
+    fn live(&self, faults: Option<&FaultPlane>) -> bool {
+        self.counts
+            .iter()
+            .any(|(k, &c)| c > 0 && faults.is_none_or(|f| f.key_live(k)))
     }
-}
-
-/// Is a single derivation still supported, given what we believe about the
-/// liveness of its inputs' origin nodes? Free function (not a method) so
-/// callers holding `&mut` borrows into `owned` can still consult it.
-///
-/// A derivation dies when any input's origin is believed dead, or when a
-/// *derived* (IDB) input predates its origin's current incarnation — the
-/// owner lost that entry in the crash, so the old id will never be
-/// retracted through the normal delete path. Base-fact inputs are exempt
-/// from the incarnation check: recovery re-announces them with their
-/// original (pre-crash) ids.
-fn key_live(
-    liveness: &HashMap<NodeId, LiveEntry>,
-    rule_body_preds: &HashMap<usize, Vec<Option<Symbol>>>,
-    idb: &HashSet<Symbol>,
-    key: &DerivationKey,
-) -> bool {
-    if key.rule_id == usize::MAX {
-        return true; // static fact: no network inputs
-    }
-    key.inputs.iter().all(|(lit, id)| {
-        let Some(e) = liveness.get(&id.node) else {
-            return true; // never heard anything: presumed alive
-        };
-        if !e.alive {
-            return false;
-        }
-        if e.boot_ts > id.ts {
-            let is_idb = rule_body_preds
-                .get(&key.rule_id)
-                .and_then(|preds| preds.get(*lit as usize))
-                .and_then(|p| *p)
-                .is_some_and(|p| idb.contains(&p));
-            if is_idb {
-                return false;
-            }
-        }
-        true
-    })
-}
-
-/// Owner-side liveness of a derived tuple under the fault plane: at least
-/// one positively counted derivation whose inputs all survive the current
-/// liveness view. With the plane off this is exactly [`Owned::live`].
-fn entry_live(
-    liveness: &HashMap<NodeId, LiveEntry>,
-    rule_body_preds: &HashMap<usize, Vec<Option<Symbol>>>,
-    idb: &HashSet<Symbol>,
-    faults_on: bool,
-    entry: &Owned,
-) -> bool {
-    if !faults_on {
-        return entry.live();
-    }
-    entry
-        .counts
-        .iter()
-        .any(|(k, &c)| c > 0 && key_live(liveness, rule_body_preds, idb, k))
 }
 
 /// Per-node resource/activity counters (Sec. V memory accounting, Table 1).
@@ -303,13 +204,8 @@ enum TimerAction {
     /// Silently expire an owned derived tuple (window-based, no join
     /// phase — "independently expiring a tuple after sufficient time").
     ExpireOwned(Symbol, Tuple),
-    /// Fault plane: periodic 1-hop aliveness beacon.
-    HeartbeatTick,
-    /// Fault plane: periodic lease check — silent neighbors are declared
-    /// dead and their death flooded.
-    LeaseTick,
-    /// Fault plane: periodic source-driven refresh + liveness anti-entropy.
-    RefreshTick,
+    /// A periodic fault-plane timer.
+    Fault(Tick),
 }
 
 /// The sensorlog node application.
@@ -369,23 +265,8 @@ pub struct SensorlogNode {
     /// timers, messages, or the RNG, so the netsim journal is byte-identical
     /// with the plane on or off).
     prov: Provenance,
-    /// Flash log for this node's own facts (fault plane only). Shared with
-    /// the deployment harness so it survives the app being rebuilt on
-    /// restart — that is the whole point of a durable store.
-    durable: Option<Arc<Mutex<DurableStore>>>,
-    /// What we believe about each peer (fault plane only; empty otherwise).
-    liveness: HashMap<NodeId, LiveEntry>,
-    /// Local time we last heard a heartbeat from each neighbor.
-    last_hb: HashMap<NodeId, SimTime>,
-    /// Local boot time of this incarnation (0 until `on_start`).
-    boot_ts: SimTime,
-    /// Derived (IDB) predicates: heads of some rule. A derived input minted
-    /// before its owner's current incarnation booted is stale — the owner
-    /// lost that entry in the crash.
-    idb: HashSet<Symbol>,
-    /// Rule id → body-literal predicates (`None` for non-relational
-    /// literals), for the IDB-staleness filter.
-    rule_body_preds: HashMap<usize, Vec<Option<Symbol>>>,
+    /// The fault plane; `None` unless `RtConfig::faults` is set.
+    faults: Option<FaultPlane>,
 }
 
 impl SensorlogNode {
@@ -406,22 +287,7 @@ impl SensorlogNode {
             } else {
                 None
             };
-        let mut idb = HashSet::new();
-        let mut rule_body_preds: HashMap<usize, Vec<Option<Symbol>>> = HashMap::new();
-        for rule in &prog.analysis.program.rules {
-            idb.insert(rule.head.pred);
-            let preds = rule
-                .body
-                .iter()
-                .map(|lit| match lit {
-                    sensorlog_logic::Literal::Pos(a) | sensorlog_logic::Literal::Neg(a) => {
-                        Some(a.pred)
-                    }
-                    _ => None,
-                })
-                .collect();
-            rule_body_preds.insert(rule.id, preds);
-        }
+        let faults = cfg.faults.clone().map(|f| FaultPlane::new(f, &prog));
         SensorlogNode {
             id,
             prog,
@@ -447,20 +313,8 @@ impl SensorlogNode {
             tele,
             hop_lag: Histogram::new(SIM_MS_BUCKETS),
             prov: Provenance::disabled(),
-            durable: None,
-            liveness: HashMap::new(),
-            last_hb: HashMap::new(),
-            boot_ts: 0,
-            idb,
-            rule_body_preds,
+            faults,
         }
-    }
-
-    /// Attach the node's durable store (fault plane). The harness keeps
-    /// the other reference so the log outlives app restarts.
-    pub fn with_durable(mut self, store: Arc<Mutex<DurableStore>>) -> SensorlogNode {
-        self.durable = Some(store);
-        self
     }
 
     /// Attach the deployment-wide provenance recording handle. On a
@@ -495,18 +349,11 @@ impl SensorlogNode {
         self.tele.bump(Scope::Pred(pred.as_str()), "generated");
         let id = self.fresh_id(ctx);
         self.my_facts.insert((pred, tuple.clone()), id);
-        if let Some(d) = &self.durable {
-            d.lock().unwrap().log_insert(pred, tuple.clone(), id);
+        if let Some(mut d) = self.durable() {
+            d.log_insert(pred, tuple.clone(), id);
         }
         let fact = FactRecord::insert(pred, tuple, id);
-        self.prov.record_with(|| ProvRecord::Edb {
-            node: self.id,
-            pred: fact.pred,
-            tuple: fact.tuple.clone(),
-            id: fact.id,
-            kind: fact.kind,
-            tau: fact.tau,
-        });
+        self.record_edb(&fact);
         self.initiate_update(ctx, fact);
     }
 
@@ -517,20 +364,11 @@ impl SensorlogNode {
         };
         self.tele.bump(Scope::Pred(pred.as_str()), "retracted");
         self.my_facts.remove(&(pred, tuple.clone()));
-        if let Some(d) = &self.durable {
-            d.lock()
-                .unwrap()
-                .log_delete(pred, tuple.clone(), id, ctx.local_time);
+        if let Some(mut d) = self.durable() {
+            d.log_delete(pred, tuple.clone(), id, ctx.local_time);
         }
         let fact = FactRecord::delete(pred, tuple, id, ctx.local_time);
-        self.prov.record_with(|| ProvRecord::Edb {
-            node: self.id,
-            pred: fact.pred,
-            tuple: fact.tuple.clone(),
-            id: fact.id,
-            kind: fact.kind,
-            tau: fact.tau,
-        });
+        self.record_edb(&fact);
         self.initiate_update(ctx, fact);
     }
 
@@ -552,6 +390,12 @@ impl SensorlogNode {
         let fact = FactRecord::insert(pred, tuple, id);
         // Static facts are proof leaves like base EDB facts — recorded as
         // `Edb` at their owner.
+        self.record_edb(&fact);
+        self.initiate_update(ctx, fact);
+    }
+
+    /// Record a proof leaf (a generated, retracted or static fact).
+    fn record_edb(&self, fact: &FactRecord) {
         self.prov.record_with(|| ProvRecord::Edb {
             node: self.id,
             pred: fact.pred,
@@ -560,25 +404,13 @@ impl SensorlogNode {
             kind: fact.kind,
             tau: fact.tau,
         });
-        self.initiate_update(ctx, fact);
-    }
-
-    /// Liveness of one owned entry under the current fault-plane view.
-    fn entry_is_live(&self, entry: &Owned) -> bool {
-        entry_live(
-            &self.liveness,
-            &self.rule_body_preds,
-            &self.idb,
-            self.cfg.faults.is_some(),
-            entry,
-        )
     }
 
     /// Live result tuples of `pred` owned by this node.
     pub fn owned_live(&self, pred: Symbol) -> Vec<Tuple> {
         self.owned
             .iter()
-            .filter(|((p, _), o)| *p == pred && self.entry_is_live(o))
+            .filter(|((p, _), o)| *p == pred && o.live(self.faults.as_ref()))
             .map(|((_, t), _)| t.clone())
             .collect()
     }
@@ -645,7 +477,7 @@ impl SensorlogNode {
         let mut out: Vec<(Symbol, Tuple)> = self
             .owned
             .iter()
-            .filter(|(_, o)| o.holddown_armed || self.entry_is_live(o) != o.propagated_live)
+            .filter(|(_, o)| o.holddown_armed || o.live(self.faults.as_ref()) != o.propagated_live)
             .map(|((p, t), _)| (*p, t.clone()))
             .collect();
         out.sort();
@@ -681,10 +513,10 @@ impl SensorlogNode {
             seq: self.seq,
         };
         self.seq += 1;
-        if let Some(d) = &self.durable {
+        if let Some(mut d) = self.durable() {
             // Persist the high-water mark so a restarted incarnation never
             // re-mints an id this one used.
-            d.lock().unwrap().note_seq(id.seq);
+            d.note_seq(id.seq);
         }
         id
     }
@@ -918,8 +750,8 @@ impl SensorlogNode {
                 update_id: probe.update.id,
                 // Fault-plane delete probes match generously so re-driven
                 // tombstones retract derivations made from stale replicas
-                // (see `LocalCtx::generous`). Inert when faults are off.
-                generous: self.cfg.faults.is_some() && sign_base == UpdateKind::Delete,
+                // (see `LocalCtx::generous`).
+                generous: self.faults.is_some() && sign_base == UpdateKind::Delete,
             };
             let last_node = probe.pos + 1 == probe.walk.len();
             let last_pass = probe.pass + 1 >= probe.total_passes;
@@ -1062,7 +894,6 @@ impl SensorlogNode {
             *self.owned_per_pred.entry(pred).or_insert(0) += 1;
         }
         let needs_holddown = {
-            let faults_on = self.cfg.faults.is_some();
             let entry = self.owned.entry((pred, tuple.clone())).or_default();
             // Counts are clamped to [-1, 1] per derivation key: a source-
             // driven refresh re-announces live facts with their original
@@ -1079,13 +910,7 @@ impl SensorlogNode {
                 (*c - 1).max(-1)
             };
             entry.counts.retain(|_, &mut c| c != 0);
-            let live = entry_live(
-                &self.liveness,
-                &self.rule_body_preds,
-                &self.idb,
-                faults_on,
-                entry,
-            );
+            let live = entry.live(self.faults.as_ref());
             let needed = !entry.holddown_armed && live != entry.propagated_live;
             if needed {
                 entry.holddown_armed = true;
@@ -1100,17 +925,9 @@ impl SensorlogNode {
             ctx.set_timer(w + self.cfg.tau_c + 1, tag);
         }
         if needs_holddown {
-            let holddown = self
-                .prog
-                .holddown
-                .get(&pred)
-                .copied()
-                .unwrap_or_else(|| self.default_holddown());
-            let tag = self.arm_timer(TimerAction::Holddown(pred, tuple));
-            ctx.set_timer(holddown, tag);
+            self.arm_holddown(ctx, pred, tuple);
         }
-        let total: usize = self.owned.values().map(|o| o.counts.len()).sum();
-        self.stats.peak_derivations = self.stats.peak_derivations.max(total);
+        self.stats.peak_derivations = self.stats.peak_derivations.max(self.derivation_count());
         self.note_pred_stored(pred);
     }
 
@@ -1122,19 +939,29 @@ impl SensorlogNode {
     /// the first observation. Declared `.holddown` values stay
     /// authoritative (checked before this is consulted).
     fn default_holddown(&self) -> SimTime {
-        // Under the fault plane the holddown upper clamp tightens to τj/4:
-        // chaos churn inflates the observed lag tail, and a holddown that
-        // stretches toward τj would hold retractions hostage for the whole
-        // join bound after every crash.
-        let cap = if self.cfg.faults.is_some() {
-            (self.cfg.tau_j / 4).max(10)
-        } else {
-            self.cfg.tau_j.max(10)
-        };
+        let tau_j = self.cfg.tau_j;
+        let cap = self
+            .faults
+            .as_ref()
+            .map_or(tau_j, |f| f.holddown_cap(tau_j))
+            .max(10);
         match self.hop_lag.quantile_upper(0.95) {
             Some(per_hop) => per_hop.saturating_mul(self.net.depth()).clamp(10, cap),
             None => 100.min(cap),
         }
+    }
+
+    /// Arm the finalize holddown for an owned entry: the declared
+    /// `.holddown`, else the adaptive default.
+    fn arm_holddown(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
+        let holddown = self
+            .prog
+            .holddown
+            .get(&pred)
+            .copied()
+            .unwrap_or_else(|| self.default_holddown());
+        let tag = self.arm_timer(TimerAction::Holddown(pred, tuple));
+        ctx.set_timer(holddown, tag);
     }
 
     /// Holddown expired: propagate the tuple's liveness if it still differs
@@ -1142,37 +969,25 @@ impl SensorlogNode {
     /// finalizing a derived fact").
     fn fire_holddown(&mut self, ctx: &mut Ctx<Payload>, pred: Symbol, tuple: Tuple) {
         let now = ctx.local_time;
-        let faults_on = self.cfg.faults.is_some();
         let Some(entry) = self.owned.get_mut(&(pred, tuple.clone())) else {
             return;
         };
         entry.holddown_armed = false;
-        let live = entry_live(
-            &self.liveness,
-            &self.rule_body_preds,
-            &self.idb,
-            faults_on,
-            entry,
-        );
+        let live = entry.live(self.faults.as_ref());
         if live == entry.propagated_live {
             return; // transition debounced away
         }
         entry.propagated_live = live;
+        let propagated_id = entry.id;
         self.tele.bump(Scope::Pred(pred.as_str()), "holddown_fired");
         let fact = if live {
-            let id = TupleId {
-                node: self.id,
-                ts: now,
-                seq: self.seq,
-            };
-            self.seq += 1;
-            if let Some(d) = &self.durable {
-                d.lock().unwrap().note_seq(id.seq);
+            let id = self.fresh_id(ctx);
+            if let Some(entry) = self.owned.get_mut(&(pred, tuple.clone())) {
+                entry.id = Some(id);
             }
-            entry.id = Some(id);
             FactRecord::insert(pred, tuple.clone(), id)
         } else {
-            let Some(id) = entry.id else {
+            let Some(id) = propagated_id else {
                 // Died before its insert was ever propagated (the holddown
                 // debounced the whole lifetime away at arming time but the
                 // flag raced): nothing in the network to retract.
@@ -1294,258 +1109,6 @@ impl SensorlogNode {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Fault plane: liveness tracking, leases, refresh, recovery
-    // ------------------------------------------------------------------
-
-    fn believes_dead(&self, n: NodeId) -> bool {
-        self.liveness.get(&n).is_some_and(|e| !e.alive)
-    }
-
-    /// Boot-time fault-plane setup, shared by first start and restart:
-    /// stamp the incarnation, baseline neighbor leases, announce ourselves,
-    /// and arm the periodic timers. No-op with the plane disabled.
-    fn boot_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
-        self.boot_ts = ctx.local_time;
-        let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
-        for nb in nbrs {
-            // Grace period: a neighbor gets a full lease from our boot
-            // before we may declare it dead.
-            self.last_hb.insert(nb, ctx.local_time);
-        }
-        self.liveness.insert(
-            self.id,
-            LiveEntry {
-                version: ctx.local_time,
-                alive: true,
-                boot_ts: self.boot_ts,
-            },
-        );
-        ctx.broadcast(Payload::Heartbeat {
-            version: ctx.local_time,
-            boot_ts: self.boot_ts,
-        });
-        if ctx.local_time < f.active_until {
-            let tag = self.arm_timer(TimerAction::HeartbeatTick);
-            ctx.set_timer(f.heartbeat_ms, tag);
-            let tag = self.arm_timer(TimerAction::LeaseTick);
-            ctx.set_timer(f.lease_ms, tag);
-            let tag = self.arm_timer(TimerAction::RefreshTick);
-            ctx.set_timer(f.refresh_ms, tag);
-        }
-    }
-
-    fn handle_heartbeat(
-        &mut self,
-        ctx: &mut Ctx<Payload>,
-        from: NodeId,
-        version: SimTime,
-        boot_ts: SimTime,
-    ) {
-        if self.cfg.faults.is_none() {
-            return;
-        }
-        self.last_hb.insert(from, ctx.local_time);
-        self.apply_liveness(ctx, from, version, true, boot_ts);
-    }
-
-    /// Merge one liveness observation; flood it onward and rescan owned
-    /// entries iff it changed something a peer could not already know
-    /// (the alive flag or the incarnation — version-only advances stay
-    /// local, else every heartbeat would flood the network).
-    fn apply_liveness(
-        &mut self,
-        ctx: &mut Ctx<Payload>,
-        subject: NodeId,
-        version: SimTime,
-        alive: bool,
-        boot_ts: SimTime,
-    ) {
-        if self.cfg.faults.is_none() {
-            return;
-        }
-        if subject == self.id {
-            if !alive {
-                // Rumors of our death: out-version them.
-                let v = ctx.local_time.max(version + 1);
-                self.liveness.insert(
-                    self.id,
-                    LiveEntry {
-                        version: v,
-                        alive: true,
-                        boot_ts: self.boot_ts,
-                    },
-                );
-                self.tele
-                    .bump(Scope::Layer("core.faults"), "death_rebuttals");
-                ctx.broadcast(Payload::Liveness {
-                    subject: self.id,
-                    version: v,
-                    alive: true,
-                    boot_ts: self.boot_ts,
-                });
-            }
-            return;
-        }
-        let e = self.liveness.entry(subject).or_default();
-        let supersedes = version > e.version || (version == e.version && e.alive && !alive);
-        let boot_news = boot_ts > e.boot_ts;
-        if !supersedes && !boot_news {
-            return;
-        }
-        let flag_changed = (supersedes && e.alive != alive) || boot_news;
-        if supersedes {
-            e.version = version;
-            e.alive = alive;
-        }
-        if boot_news {
-            e.boot_ts = boot_ts;
-        }
-        if flag_changed {
-            let (version, alive, boot_ts) = (e.version, e.alive, e.boot_ts);
-            ctx.broadcast(Payload::Liveness {
-                subject,
-                version,
-                alive,
-                boot_ts,
-            });
-            self.rescan_owned(ctx);
-        }
-    }
-
-    /// Liveness changed: arm holddowns for owned entries whose filtered
-    /// liveness no longer matches what the network believes. This is the
-    /// retraction path of Theorem 3 driven by failure detection instead of
-    /// an explicit delete.
-    fn rescan_owned(&mut self, ctx: &mut Ctx<Payload>) {
-        let mut arm: Vec<(Symbol, Tuple)> = self
-            .owned
-            .iter()
-            .filter(|(_, o)| !o.holddown_armed && self.entry_is_live(o) != o.propagated_live)
-            .map(|((p, t), _)| (*p, t.clone()))
-            .collect();
-        arm.sort();
-        for (pred, tuple) in arm {
-            if let Some(o) = self.owned.get_mut(&(pred, tuple.clone())) {
-                o.holddown_armed = true;
-            }
-            let holddown = self
-                .prog
-                .holddown
-                .get(&pred)
-                .copied()
-                .unwrap_or_else(|| self.default_holddown());
-            let tag = self.arm_timer(TimerAction::Holddown(pred, tuple));
-            ctx.set_timer(holddown, tag);
-        }
-    }
-
-    /// Lease check: any neighbor we believe alive but have not heard from
-    /// for two lease periods is declared dead and the death flooded.
-    fn lease_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
-        let now = ctx.local_time;
-        let nbrs: Vec<NodeId> = ctx.neighbors().to_vec();
-        let suspects: Vec<(NodeId, SimTime)> = nbrs
-            .into_iter()
-            .filter(|nb| {
-                let heard = self.last_hb.get(nb).copied().unwrap_or(0);
-                let believed_alive = self.liveness.get(nb).is_none_or(|e| e.alive);
-                believed_alive && now.saturating_sub(heard) > f.lease_ms
-            })
-            .map(|nb| {
-                let boot = self.liveness.get(&nb).map(|e| e.boot_ts).unwrap_or(0);
-                (nb, boot)
-            })
-            .collect();
-        for (nb, boot) in suspects {
-            self.tele.bump(Scope::Layer("core.faults"), "suspicions");
-            self.apply_liveness(ctx, nb, now, false, boot);
-        }
-        if now < f.active_until {
-            let tag = self.arm_timer(TimerAction::LeaseTick);
-            ctx.set_timer(f.lease_ms, tag);
-        }
-    }
-
-    /// Source-driven refresh: re-announce our live base facts (original
-    /// ids — idempotent at replicas and owners thanks to generation dedup
-    /// and clamped counts), re-send recent tombstones whose walks a crash
-    /// or partition may have cut short, and exchange a 1-hop liveness
-    /// digest so healed partitions relearn deaths and reboots they missed.
-    fn refresh_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
-        self.tele
-            .bump(Scope::Layer("core.faults"), "refresh_rounds");
-        let mut entries: Vec<(NodeId, SimTime, bool, SimTime)> = self
-            .liveness
-            .iter()
-            .filter(|&(&n, e)| n != self.id && (!e.alive || e.boot_ts > 0))
-            .map(|(&n, e)| (n, e.version, e.alive, e.boot_ts))
-            .collect();
-        entries.sort();
-        if !entries.is_empty() {
-            ctx.broadcast(Payload::LivenessDigest { entries });
-        }
-        let mut facts: Vec<(Symbol, Tuple, TupleId)> = self
-            .my_facts
-            .iter()
-            .map(|(&(p, ref t), &id)| (p, t.clone(), id))
-            .collect();
-        facts.sort();
-        for (pred, tuple, id) in facts {
-            // Replays keep the original id (idempotence at replicas and
-            // owners) but probe at *current* time: an original-tau replay
-            // would re-derive historical joins with partners deleted since
-            // (their tombstones legitimately satisfy `del_ts ≥ tau` for the
-            // old tau), resurrecting retracted results every round.
-            let mut rec = FactRecord::insert(pred, tuple, id);
-            rec.tau = ctx.local_time;
-            self.initiate_update(ctx, rec);
-        }
-        let deletes: Vec<FactRecord> = match &self.durable {
-            Some(d) => d.lock().unwrap().recent_deletes().to_vec(),
-            None => Vec::new(),
-        };
-        for del in deletes {
-            self.initiate_update(ctx, del);
-        }
-        if ctx.local_time < f.active_until {
-            let tag = self.arm_timer(TimerAction::RefreshTick);
-            ctx.set_timer(f.refresh_ms, tag);
-        }
-    }
-
-    fn heartbeat_tick(&mut self, ctx: &mut Ctx<Payload>) {
-        let Some(f) = self.cfg.faults.clone() else {
-            return;
-        };
-        // Keep our own version current so death rumors can be compared.
-        self.liveness.insert(
-            self.id,
-            LiveEntry {
-                version: ctx.local_time,
-                alive: true,
-                boot_ts: self.boot_ts,
-            },
-        );
-        ctx.broadcast(Payload::Heartbeat {
-            version: ctx.local_time,
-            boot_ts: self.boot_ts,
-        });
-        if ctx.local_time < f.active_until {
-            let tag = self.arm_timer(TimerAction::HeartbeatTick);
-            ctx.set_timer(f.heartbeat_ms, tag);
-        }
-    }
-
     fn arm_timer(&mut self, action: TimerAction) -> u64 {
         let tag = self.next_tag;
         self.next_tag += 1;
@@ -1563,7 +1126,7 @@ impl SensorlogNode {
                 sent_counter(payload.kind()),
             );
         }
-        let Some(mut hop) = self.net.next_hop(self.id, dest) else {
+        let Some(hop) = self.net.next_hop(self.id, dest) else {
             // Unreachable destination (partitioned topology): a logged
             // drop, indistinguishable from loss to the protocol above.
             self.stats.routing_drops += 1;
@@ -1571,20 +1134,7 @@ impl SensorlogNode {
                 .bump(Scope::Pred(payload.pred().as_str()), "routing_drops");
             return;
         };
-        // Route repair (fault plane): detour around a next hop we believe
-        // dead, as long as some live neighbor is strictly closer to the
-        // destination (no loops). Falls back to the primary hop — the drop
-        // is then recovered by refresh once liveness heals.
-        if hop != dest && self.cfg.faults.is_some() && self.believes_dead(hop) {
-            if let Some(detour) =
-                sensorlog_netstack::router::next_hop_avoiding(&self.net.topo, self.id, dest, &|n| {
-                    self.believes_dead(n)
-                })
-            {
-                self.tele.bump(Scope::Layer("core.faults"), "route_detours");
-                hop = detour;
-            }
-        }
+        let hop = self.detour(dest, hop);
         if self.prov.is_enabled() {
             if let Some(origin) = payload.origin_id() {
                 let (kind, at) = (payload.kind(), ctx.local_time);
@@ -1611,11 +1161,13 @@ impl SensorlogNode {
         }
     }
 
-    fn handle_payload(&mut self, ctx: &mut Ctx<Payload>, payload: Payload) {
+    /// Dispatch one payload; `from` is its radio sender, `None` once
+    /// unwrapped from a `Routed` envelope.
+    fn handle_payload(&mut self, ctx: &mut Ctx<Payload>, from: Option<NodeId>, payload: Payload) {
         match payload {
             Payload::Routed { dest, inner } => {
                 if dest == self.id {
-                    self.handle_payload(ctx, *inner);
+                    self.handle_payload(ctx, None, *inner);
                 } else {
                     self.route(ctx, dest, *inner);
                 }
@@ -1660,21 +1212,9 @@ impl SensorlogNode {
                 origin,
             } => self.handle_deriv_delta(ctx, pred, tuple, key, sign, tau, origin),
             Payload::ToCenter { fact } => self.feed_center(ctx.local_time, &fact),
-            // 1-hop heartbeats carry their sender in the radio header and
-            // are intercepted in `on_message`; one arriving here (inside a
-            // Routed envelope) is a protocol violation we simply drop.
-            Payload::Heartbeat { .. } => self.stats.routing_drops += 1,
-            Payload::Liveness {
-                subject,
-                version,
-                alive,
-                boot_ts,
-            } => self.apply_liveness(ctx, subject, version, alive, boot_ts),
-            Payload::LivenessDigest { entries } => {
-                for (subject, version, alive, boot_ts) in entries {
-                    self.apply_liveness(ctx, subject, version, alive, boot_ts);
-                }
-            }
+            fault @ (Payload::Heartbeat { .. }
+            | Payload::Liveness { .. }
+            | Payload::LivenessDigest { .. }) => self.fault_msg(ctx, from, fault),
         }
     }
 }
@@ -1695,55 +1235,23 @@ impl App for SensorlogNode {
     type Msg = Payload;
 
     fn on_start(&mut self, ctx: &mut Ctx<Payload>) {
-        self.boot_tick(ctx);
+        self.boot(ctx);
     }
 
-    /// Crash recovery: replay the durable store — restore the sequence
-    /// high-water mark, re-announce surviving base facts with their
-    /// ORIGINAL ids, and re-send the recent-tombstone window — then run the
-    /// normal boot path (new incarnation heartbeat, timers).
     fn on_restart(&mut self, ctx: &mut Ctx<Payload>) {
-        self.boot_tick(ctx);
-        if let Some(d) = self.durable.clone() {
-            let r = d.lock().unwrap().recover();
-            self.seq = self.seq.max(r.next_seq);
-            self.tele.add(
-                Scope::Layer("core.faults"),
-                "recovery_replays",
-                (r.facts.len() + r.recent_deletes.len()) as u64,
-            );
-            for (pred, tuple, id) in r.facts {
-                self.my_facts.insert((pred, tuple.clone()), id);
-                // Original id, current probe time — same rationale as the
-                // refresh replay: don't resurrect joins with partners
-                // deleted while this node was down.
-                let mut rec = FactRecord::insert(pred, tuple, id);
-                rec.tau = ctx.local_time;
-                self.initiate_update(ctx, rec);
-            }
-            for del in r.recent_deletes {
-                self.initiate_update(ctx, del);
-            }
-        }
+        self.boot(ctx);
+        self.recover(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Payload>, from: NodeId, msg: Payload) {
-        match msg {
-            // Heartbeats are 1-hop and identified by their radio sender.
-            Payload::Heartbeat { version, boot_ts } => {
-                self.handle_heartbeat(ctx, from, version, boot_ts)
-            }
-            other => self.handle_payload(ctx, other),
-        }
+        self.handle_payload(ctx, Some(from), msg);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Payload>, tag: u64) {
         match self.timers.remove(&tag) {
             Some(TimerAction::StartJoin(fact)) => self.start_join(ctx, fact),
             Some(TimerAction::Holddown(pred, tuple)) => self.fire_holddown(ctx, pred, tuple),
-            Some(TimerAction::HeartbeatTick) => self.heartbeat_tick(ctx),
-            Some(TimerAction::LeaseTick) => self.lease_tick(ctx),
-            Some(TimerAction::RefreshTick) => self.refresh_tick(ctx),
+            Some(TimerAction::Fault(tick)) => self.fault_tick(ctx, tick),
             Some(TimerAction::ExpireReplica(pred, tuple)) => {
                 self.frags.remove(pred, &tuple);
                 self.frag_ids.remove(&(pred, tuple));
@@ -1827,117 +1335,5 @@ mod tests {
         assert_eq!(c.pass_mode, crate::strategy::PassMode::OnePass);
         assert!(matches!(c.strategy, Strategy::Perpendicular { .. }));
         assert!(c.faults.is_none(), "fault plane must be opt-in");
-    }
-
-    fn test_node(cfg: RtConfig) -> SensorlogNode {
-        let prog = Arc::new(
-            crate::plan::compile_source(
-                ".output q.\nq(X, Y) :- r1(X, T), r2(Y, T).",
-                sensorlog_logic::builtin::BuiltinRegistry::standard(),
-                crate::plan::PlanTiming::default(),
-            )
-            .unwrap(),
-        );
-        let shapes = Arc::new(
-            prog.analysis
-                .program
-                .rules
-                .iter()
-                .map(crate::partial::RuleShape::of)
-                .collect::<Vec<_>>(),
-        );
-        let net = Arc::new(NetInfo::new(Topology::square_grid(4)));
-        SensorlogNode::new(
-            NodeId(0),
-            prog,
-            Arc::new(cfg),
-            net,
-            shapes,
-            Telemetry::disabled(),
-        )
-    }
-
-    /// Satellite: with the fault plane active the adaptive holddown's
-    /// upper clamp tightens from τj to (τj/4).max(10) — chaos churn must
-    /// not let one inflated lag observation hold retractions for seconds.
-    #[test]
-    fn holddown_clamp_tightens_under_fault_plane() {
-        let mut plain = test_node(RtConfig::default());
-        let mut faulty = test_node(RtConfig {
-            faults: Some(FaultPlaneCfg::default()),
-            ..RtConfig::default()
-        });
-        // Before any lag observation both use the 100 ms fallback (already
-        // under the 750 ms chaos cap for the default τj = 3000).
-        assert_eq!(plain.default_holddown(), 100);
-        assert_eq!(faulty.default_holddown(), 100);
-        // A pathological lag tail (p95 ≈ 4 s/hop on a 6-hop-deep grid)
-        // saturates both clamps.
-        for n in [&mut plain, &mut faulty] {
-            for _ in 0..50 {
-                n.hop_lag.observe(4_000);
-            }
-        }
-        assert_eq!(plain.default_holddown(), 3_000, "fault-free clamp is τj");
-        assert_eq!(
-            faulty.default_holddown(),
-            750,
-            "fault-plane clamp is (τj/4).max(10)"
-        );
-    }
-
-    /// The liveness filter: a derivation dies with its input's origin, a
-    /// derived input predates its owner's reboot, and base-fact inputs
-    /// survive reboots (recovery re-announces them with original ids).
-    #[test]
-    fn key_live_filters_dead_and_stale_inputs() {
-        let node = test_node(RtConfig {
-            faults: Some(FaultPlaneCfg::default()),
-            ..RtConfig::default()
-        });
-        let rule_id = node.prog.analysis.program.rules[0].id;
-        let mk = |n: u32, ts: SimTime| TupleId {
-            node: NodeId(n),
-            ts,
-            seq: 0,
-        };
-        // Inputs at body literals 0 (r1) and 1 (r2) — both base predicates.
-        let key = DerivationKey::new(rule_id, vec![(0, mk(3, 100)), (1, mk(7, 200))]);
-        let mut liveness: HashMap<NodeId, LiveEntry> = HashMap::new();
-        let live =
-            |lv: &HashMap<NodeId, LiveEntry>, k| key_live(lv, &node.rule_body_preds, &node.idb, k);
-        assert!(live(&liveness, &key), "no knowledge: presumed alive");
-        liveness.insert(
-            NodeId(3),
-            LiveEntry {
-                version: 500,
-                alive: false,
-                boot_ts: 0,
-            },
-        );
-        assert!(!live(&liveness, &key), "dead input origin kills the key");
-        liveness.insert(
-            NodeId(3),
-            LiveEntry {
-                version: 900,
-                alive: true,
-                boot_ts: 800, // rebooted after minting ts=100
-            },
-        );
-        assert!(
-            live(&liveness, &key),
-            "base-fact inputs survive reboots (recovery replays them)"
-        );
-        // A derived (IDB) input minted before its owner's reboot is stale.
-        let idb_key = DerivationKey::new(usize::MAX - 1, vec![(0, mk(3, 100))]);
-        let mut body = HashMap::new();
-        body.insert(usize::MAX - 1, vec![Some(Symbol::intern("q"))]);
-        assert!(
-            !key_live(&liveness, &body, &node.idb, &idb_key),
-            "stale IDB input (minted before owner reboot) kills the key"
-        );
-        // Static facts are immune.
-        let static_key = DerivationKey::new(usize::MAX, Vec::new());
-        assert!(live(&liveness, &static_key));
     }
 }

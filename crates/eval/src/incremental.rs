@@ -102,7 +102,6 @@ pub struct IncStats {
     pub updates_processed: u64,
     pub derived_emitted: u64,
     pub body_evals: u64,
-    pub max_derivations: usize,
 }
 
 /// Incremental engine with set-of-derivations maintenance.
@@ -245,7 +244,6 @@ impl IncrementalEngine {
                 queue.push_back(d);
             }
         }
-        self.stats.max_derivations = self.stats.max_derivations.max(self.derivation_count());
         Ok(emitted)
     }
 

@@ -33,7 +33,17 @@ const JOIN: &str = r#"
 /// to 0: liveness versions are local times, and Theorem 3's τc bound is
 /// orthogonal to what this plane tests.
 fn chaos_deployment(seed: u64, sched: Sched, active_until: u64) -> Deployment {
-    let cfg = DeployConfig {
+    Deployment::new(
+        JOIN,
+        BuiltinRegistry::standard(),
+        Topology::square_grid(4),
+        chaos_config(seed, sched, active_until),
+    )
+    .unwrap()
+}
+
+fn chaos_config(seed: u64, sched: Sched, active_until: u64) -> DeployConfig {
+    DeployConfig {
         rt: RtConfig {
             faults: Some(FaultPlaneCfg {
                 active_until,
@@ -50,14 +60,7 @@ fn chaos_deployment(seed: u64, sched: Sched, active_until: u64) -> Deployment {
         // crash-coverage fixture (see `check_provenance` call sites).
         provenance: Provenance::enabled(),
         ..DeployConfig::default()
-    };
-    Deployment::new(
-        JOIN,
-        BuiltinRegistry::standard(),
-        Topology::square_grid(4),
-        cfg,
-    )
-    .unwrap()
+    }
 }
 
 fn churn_events(topo: &Topology, seed: u64) -> Vec<WorkloadEvent> {
@@ -331,6 +334,47 @@ fn chaos_backend_scenario_journal_is_pinned() {
         0xbc026db128c91410,
         "fault-plane journal hash drifted"
     );
+}
+
+/// Every fault-plane hook fires in one scripted run, read back from the
+/// `layer:core.faults` telemetry counters: node 5 crashes long enough for
+/// its neighbors' leases to expire (suspicions) and for routes through it
+/// to detour, then restarts from its durable store (recovery replays) and
+/// rebuts the death rumor its neighbors still hold (death rebuttals);
+/// refresh rounds run throughout.
+#[test]
+fn scripted_chaos_fires_every_fault_plane_counter() {
+    let topo = Topology::square_grid(4);
+    let cfg = DeployConfig {
+        telemetry: Telemetry::enabled(),
+        ..chaos_config(5, Sched::Wheel, 20_000)
+    };
+    let mut d = Deployment::new(JOIN, BuiltinRegistry::standard(), topo.clone(), cfg).unwrap();
+    d.set_fault_schedule(
+        FaultSchedule::new()
+            .crash(4_500, NodeId(5))
+            .restart(9_000, NodeId(5))
+            .link_down(703, NodeId(1), NodeId(2))
+            .link_up(4_441, NodeId(1), NodeId(2)),
+    );
+    d.schedule_all(churn_events(&topo, 5));
+    d.run(120_000);
+    assert!(d.sim.is_quiescent());
+    let snap = d.telemetry_snapshot();
+    for name in [
+        "suspicions",
+        "refresh_rounds",
+        "recovery_replays",
+        "route_detours",
+        "death_rebuttals",
+    ] {
+        assert!(
+            snap.counter("layer:core.faults", name) > 0,
+            "fault-plane counter `{name}` never fired"
+        );
+    }
+    let conv = invariants::check_convergence(&d, &[sym("q")]);
+    assert!(conv.ok(), "{conv}");
 }
 
 // Durable-store equivalence (satellite 3, mechanism level): for any op
